@@ -64,10 +64,13 @@ pub const FORMAT_VERSION: u32 = 1;
 const MAGIC: &str = "mmtag-run-cache";
 
 /// How many [`RunCache::store`] calls pass between amortized
-/// [`RunCache::enforce_policy`] sweeps. Enforcement scans the whole
-/// directory, so running it on every store would turn an O(1) append
-/// into an O(entries) one; every Nth store keeps the overshoot bounded
-/// at N entries past budget while the common store stays one rename.
+/// [`RunCache::enforce_policy`] sweeps under a bounded policy.
+/// Enforcement scans the whole directory, so running it on every store
+/// would turn an O(1) append into an O(entries) one; every Nth store
+/// keeps the overshoot bounded at N entries past budget. Every other
+/// store — and every store under an unbounded policy — is one temp
+/// write, `fsync` and rename whatever the cache size: only `stats`,
+/// `prune_stale` and these sweeps read the directory.
 const ENFORCE_EVERY: u64 = 16;
 
 /// Size/age budgets for a [`RunCache`]. The default is unbounded — the
@@ -204,12 +207,18 @@ impl RunCache {
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = path.with_extension(format!("tmp{}-{seq}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(write_entry(spec, tables).as_bytes())?;
-            f.sync_all()?;
+        let written = fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(write_entry(spec, tables).as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            // No scan ever collects non-`.run` files, so a failed store
+            // must not leave its temp file behind.
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        fs::rename(&tmp, &path)?;
         // Amortized lifecycle enforcement: every Nth store sweeps the
         // directory. An enforcement I/O error must not fail the store —
         // the entry itself landed — so it is deliberately swallowed.
@@ -593,6 +602,26 @@ mod tests {
         assert!(cache.load(&spec()).is_none());
         cache.store(&spec(), &tables()).unwrap();
         assert!(cache.load(&spec()).is_some());
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn failed_store_returns_err_and_leaves_no_temp_file() {
+        // A non-empty directory squatting on the entry path makes the
+        // final rename fail without relying on file permissions.
+        let cache = temp_cache("failedstore");
+        let spec = spec();
+        let squatter = cache.entry_path(&spec);
+        fs::create_dir_all(&squatter).unwrap();
+        fs::write(squatter.join("occupant"), "x").unwrap();
+        assert!(cache.store(&spec, &tables()).is_err());
+        let leftovers: Vec<_> = fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        assert!(cache.load(&spec).is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 

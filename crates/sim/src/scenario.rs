@@ -533,6 +533,10 @@ pub struct Manifest {
     pub wall_ms: f64,
     /// Hex [`ScenarioSpec::hash`] of the executed spec.
     pub spec_hash: String,
+    /// True when the tables were replayed from the run cache instead of
+    /// simulated. The `runner.cache.hit` counter says the same, but
+    /// concurrent runs share one obs log; this flag is per run.
+    pub from_cache: bool,
     /// Observability aggregates recorded during the run (empty when the
     /// global [`obs::Level`] is `Off`). Counters and histograms are
     /// bit-identical at any thread count; span wall times — like
@@ -720,8 +724,9 @@ impl Runner {
     /// Attaches a content-addressed run cache: [`Runner::run`] consults
     /// it before executing and replays byte-identical tables on a hit
     /// (see [`crate::cache`] for the key and invalidation rules). The
-    /// manifest records the outcome as a `runner.cache.hit` or
-    /// `runner.cache.miss` counter in its metrics block.
+    /// manifest records the outcome in [`Manifest::from_cache`] and as a
+    /// `runner.cache.hit` or `runner.cache.miss` counter in its metrics
+    /// block.
     pub fn with_cache(mut self, cache: crate::cache::RunCache) -> Self {
         self.cache = Some(cache);
         self
@@ -830,20 +835,15 @@ impl Runner {
         if !served_from_cache {
             if let Some(cache) = &self.cache {
                 let _span = obs::span("runner.cache.store");
-                match cache.store(spec, &tables) {
-                    Ok(()) => {
-                        // A store already paid for a full simulation, so a
-                        // directory scan is in the noise — surface the
-                        // store's size in this run's manifest metrics.
-                        let stats = cache.stats();
-                        obs::counter_add("runner.cache.entries", stats.entries as u64);
-                        obs::counter_add("runner.cache.bytes", stats.bytes);
-                        obs::counter_add("runner.cache.stale", stats.stale as u64);
-                    }
-                    Err(e) => obs::warn(&format!(
+                // One temp write + fsync + rename, whatever the cache
+                // size. No directory scan here: the size is on demand via
+                // `RunCache::stats`, and only a bounded policy's amortized
+                // sweep scans on the store path.
+                if let Err(e) = cache.store(spec, &tables) {
+                    obs::warn(&format!(
                         "mmtag: run cache store failed ({}): {e}",
                         cache.dir().display()
-                    )),
+                    ));
                 }
             }
         }
@@ -864,6 +864,7 @@ impl Runner {
                 trials: spec.trials,
                 threads: self.threads,
                 spec_hash,
+                from_cache: served_from_cache,
                 wall_ms,
                 metrics,
             },
@@ -1052,6 +1053,7 @@ mod tests {
         assert_eq!(executions.load(Ordering::Relaxed), 1);
         assert_eq!(first.manifest.metrics.counter("runner.cache.miss"), 1);
         assert_eq!(first.manifest.metrics.counter("runner.cache.hit"), 0);
+        assert!(!first.manifest.from_cache);
 
         let second = runner.run(&sc);
         assert_eq!(
@@ -1060,6 +1062,7 @@ mod tests {
             "hit must not execute"
         );
         assert_eq!(second.manifest.metrics.counter("runner.cache.hit"), 1);
+        assert!(second.manifest.from_cache);
 
         // Replayed tables are byte-identical in every serialization.
         for (a, b) in first.tables.iter().zip(&second.tables) {
@@ -1086,7 +1089,39 @@ mod tests {
         assert_eq!(executions.load(Ordering::Relaxed), 3);
         assert_eq!(fourth.manifest.metrics.counter("runner.cache.hit"), 0);
         assert_eq!(fourth.manifest.metrics.counter("runner.cache.miss"), 0);
+        assert!(!fourth.manifest.from_cache);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_miss_manifest_reports_the_miss_but_no_directory_scan() {
+        // A miss costs one load probe plus one store; the directory size
+        // is `RunCache::stats`'s job, so no size counters may ride along.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        let dir = std::env::temp_dir().join(format!(
+            "mmtag-runner-miss-test-{}-{nanos}",
+            std::process::id()
+        ));
+        let runner = Runner::with_threads(1).with_cache(crate::cache::RunCache::at(&dir));
+        let record = runner.run(&Echo { spec: echo_spec() });
+        assert!(!record.manifest.from_cache);
+        assert_eq!(record.manifest.metrics.counter("runner.cache.miss"), 1);
+        let size_counters = [
+            "runner.cache.entries",
+            "runner.cache.bytes",
+            "runner.cache.stale",
+        ];
+        let counters = &record.manifest.metrics.counters;
+        assert!(
+            !counters
+                .iter()
+                .any(|c| size_counters.contains(&c.name.as_str())),
+            "size counters on the store path: {counters:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1146,6 +1181,7 @@ mod tests {
                 threads: 1,
                 wall_ms: 0.5,
                 spec_hash: "00".into(),
+                from_cache: false,
                 metrics: obs::ObsReport::default(),
             },
             tables: vec![t],

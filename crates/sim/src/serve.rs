@@ -1387,13 +1387,6 @@ impl Engine {
     /// Runs one point with a `threads`-wide [`Runner`] and publishes
     /// the result to its flight.
     fn execute_point(&self, job: &Job, threads: usize) {
-        // Classify before running: the runner's own hit/miss counters
-        // land in the manifest, but concurrent jobs share one obs log,
-        // so the daemon keeps its own unambiguous tally.
-        let disk_hit = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.entry_path(job.scenario.spec()).exists());
         let mut runner = Runner::with_threads(threads);
         if let Some(cache) = &self.cache {
             runner = runner.with_cache(cache.clone());
@@ -1401,7 +1394,9 @@ impl Engine {
         let result = catch_unwind(AssertUnwindSafe(|| runner.run(&*job.scenario)));
         match result {
             Ok(record) => {
-                if disk_hit {
+                // The runner's own outcome: a corrupt or mismatched entry
+                // at the spec's path is a miss that simulates.
+                if record.manifest.from_cache {
                     self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.stats.sim_runs.fetch_add(1, Ordering::Relaxed);
@@ -2115,19 +2110,27 @@ mod tests {
         }
     }
 
-    fn inline_engine() -> (Engine, Arc<AtomicUsize>) {
-        let executions = Arc::new(AtomicUsize::new(0));
-        let spec = ScenarioSpec::paper_link("t90-triple", "serve unit-test scenario").with_axis(
+    fn triple_spec() -> ScenarioSpec {
+        ScenarioSpec::paper_link("t90-triple", "serve unit-test scenario").with_axis(
             "x",
             AxisKind::Linspace {
                 start: 0.0,
                 stop: 4.0,
                 points: 5,
             },
-        );
+        )
+    }
+
+    fn inline_engine() -> (Engine, Arc<AtomicUsize>) {
+        inline_engine_with(None)
+    }
+
+    /// The inline test engine, memoizing through `cache`.
+    fn inline_engine_with(cache: Option<RunCache>) -> (Engine, Arc<AtomicUsize>) {
+        let executions = Arc::new(AtomicUsize::new(0));
         let mut registry = Registry::new();
         registry.register(Box::new(Counting {
-            spec,
+            spec: triple_spec(),
             executions: Arc::clone(&executions),
         }));
         let config = EngineConfig {
@@ -2136,7 +2139,18 @@ mod tests {
             queue_capacity: 4,
             memory_capacity: 4,
         };
-        (Engine::new(Arc::new(registry), None, config), executions)
+        (Engine::new(Arc::new(registry), cache, config), executions)
+    }
+
+    fn temp_cache(tag: &str) -> RunCache {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_nanos();
+        RunCache::at(std::env::temp_dir().join(format!(
+            "mmtag-serve-test-{tag}-{}-{nanos}",
+            std::process::id()
+        )))
     }
 
     #[test]
@@ -2266,6 +2280,68 @@ mod tests {
         out.clear();
         assert!(!engine.handle_line(r#"{"id":3,"op":"shutdown"}"#, &mut out));
         assert_eq!(out, "{\"id\":3,\"ok\":true,\"op\":\"shutdown\"}\n");
+    }
+
+    #[test]
+    fn disk_hits_count_what_the_runner_did_not_which_files_exist() {
+        let cache = temp_cache("diskhits");
+        let req = r#"{"id":1,"op":"run","scenario":"t90-triple"}"#;
+        let mut out = String::new();
+        // Garbage at the spec's entry path is a miss: the runner
+        // simulates and overwrites it with a valid entry.
+        std::fs::create_dir_all(cache.dir()).unwrap();
+        std::fs::write(cache.entry_path(&triple_spec()), "not a cache entry").unwrap();
+        let (engine, executions) = inline_engine_with(Some(cache.clone()));
+        engine.handle_line(req, &mut out);
+        assert!(out.contains("\"ok\":true"), "{out}");
+        let s = engine.stats();
+        assert_eq!((s.sim_runs, s.disk_hits), (1, 0));
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
+        // A fresh engine (empty memory store) finds the valid entry.
+        let (engine, executions) = inline_engine_with(Some(cache.clone()));
+        out.clear();
+        engine.handle_line(req, &mut out);
+        assert!(out.contains("\"ok\":true"), "{out}");
+        let s = engine.stats();
+        assert_eq!((s.sim_runs, s.disk_hits), (0, 1));
+        assert_eq!(executions.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn status_reports_exact_cache_size() {
+        // The store path never scans; `status` must still see every
+        // entry and byte the cold runs wrote.
+        const COLD: u64 = 3;
+        let cache = temp_cache("status");
+        let (engine, _) = inline_engine_with(Some(cache.clone()));
+        let mut out = String::new();
+        for seed in 1..=COLD {
+            engine.handle_line(
+                &format!(r#"{{"id":{seed},"op":"run","scenario":"t90-triple","seed":{seed}}}"#),
+                &mut out,
+            );
+        }
+        engine.handle_line(
+            r#"{"id":9,"op":"run","scenario":"t90-triple","seed":1}"#,
+            &mut out,
+        );
+        let s = engine.stats();
+        assert_eq!((s.sim_runs, s.memory_hits), (COLD, 1));
+        out.clear();
+        engine.handle_line(r#"{"id":10,"op":"status"}"#, &mut out);
+        let dom = crate::json::parse_json(out.trim()).unwrap();
+        let run_bytes: u64 = std::fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".run"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        assert!(run_bytes > 0);
+        let num = |k: &str| dom.get(k).and_then(|v| v.as_num());
+        assert_eq!(num("cache_entries"), Some(COLD as f64));
+        assert_eq!(num("cache_bytes"), Some(run_bytes as f64));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release
 cargo test -q
+# perfbench is a package of its own, so the `cargo test` above never
+# builds it: run its unit tests here, so that a change to the sim API it
+# calls (Runner, RunCache, serve::Client) fails this gate instead of the
+# next benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every public item documented (the crates' warn(missing_docs)
@@ -129,4 +134,4 @@ rf_t1=$(date +%s)
 echo "rf crate release build (clean): $((rf_t1 - rf_t0))s"
 rm -rf target/rf-build-timing
 
-echo "check.sh: fmt + build + tests + clippy + scenario smoke + rate-region smoke + cache round-trip + serve smoke + bench report all green"
+echo "check.sh: fmt + build + tests + perfbench tests + clippy + scenario smoke + rate-region smoke + cache round-trip + serve smoke + bench report all green"
